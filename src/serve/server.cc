@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -346,6 +347,11 @@ class EvalServer::Impl
                 ::close(fd);
                 continue;
             }
+            // Each reply is one small write: with Nagle's algorithm on,
+            // a reply sent while the previous one is unacknowledged
+            // waits for the client's delayed ACK (tens of ms).
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
             try {
                 VCACHE_FAULT_POINT("serve.accept");
             } catch (const VcError &) {

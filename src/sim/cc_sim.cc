@@ -18,11 +18,19 @@ ccCacheConfig(const MachineParams &params, CacheScheme scheme)
     return config;
 }
 
+void
+reserveFirstTouch(FlatSet<Addr> &touched, const Cache &cache)
+{
+    constexpr std::uint64_t kMaxSlots = 8192;
+    touched.reserve(std::min(cache.numLines(), kMaxSlots) / 2);
+}
+
 CcSimulator::CcSimulator(const MachineParams &params,
                          const CacheConfig &cache_config)
     : machine(params), vectorCache(makeCache(cache_config)),
       memory(params.bankBits, params.memoryTime, params.bankMapping)
 {
+    reserveFirstTouch(touchedLines, *vectorCache);
 }
 
 CcSimulator::CcSimulator(const MachineParams &params, CacheScheme scheme)
@@ -45,7 +53,7 @@ CcSimulator::reset()
     vectorCache->reset();
     memory.reset();
     buses.reset();
-    touchedLines.clear();
+    touchedLines.clear(); // keeps the constructor's reservation
     clock = 0;
     inFlight.clear();
     prefetchCount = 0;

@@ -330,7 +330,8 @@ class CcSimulator
     std::unique_ptr<Cache> vectorCache;
     InterleavedMemory memory;
     BusSet buses;
-    /** Every line ever brought in (first touch => compulsory). */
+    /** Every line ever brought in (first touch => compulsory);
+     *  presized by reserveFirstTouch(). */
     FlatSet<Addr> touchedLines;
     Cycles clock = 0;
     bool nonBlocking = false;
@@ -351,6 +352,17 @@ class CcSimulator
 /** Cache configuration matching the analytic machine and scheme. */
 CacheConfig ccCacheConfig(const MachineParams &params,
                           CacheScheme scheme);
+
+/**
+ * Presize a first-touch (compulsory-miss) set from the cache geometry,
+ * never from the workload: one slot per cache line, so a run touching
+ * up to half as many distinct lines as the cache holds never rehashes.
+ * The table is capped at 8192 slots (64 KiB), below glibc's 128 KiB
+ * mmap threshold, so a cold simulation takes its table from the heap
+ * instead of faulting in fresh mmapped pages.  Larger footprints grow
+ * the table by doubling.
+ */
+void reserveFirstTouch(FlatSet<Addr> &touched, const Cache &cache);
 
 template <typename CacheT, typename Observer>
 void

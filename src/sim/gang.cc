@@ -85,6 +85,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
     // Functional state, shared across every lane (see gang.hh).
     const AddressLayout &layout = cache.addressLayout();
     FlatSet<Addr> touched;
+    reserveFirstTouch(touched, cache);
     SimResult shared;
     PendingCounts pend;
 

@@ -567,6 +567,7 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
     const std::unique_ptr<Cache> cache = std::move(cache_or.value());
     const AddressLayout &layout = cache->addressLayout();
     FlatSet<Addr> touched;
+    reserveFirstTouch(touched, *cache);
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {

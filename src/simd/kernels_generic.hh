@@ -26,16 +26,17 @@ strideLines(std::uint64_t base, std::int64_t stride, unsigned n,
             unsigned shift, std::uint64_t *lines)
 {
     const std::uint64_t s = static_cast<std::uint64_t>(stride);
+    // Each pack is computed directly as base + s*(i+lane).  Carrying
+    // the address pack across iterations (addr += s*W) is equivalent,
+    // but GCC 12's -O3 loop vectorizer miscompiles that recurrence:
+    // lanes 2-3 of each 4-wide chunk repeated lanes 0-1.
+    const Lanes<W> vbase = Lanes<W>::broadcast(base);
+    const Lanes<W> vs = Lanes<W>::broadcast(s);
+    const Lanes<W> lane = Lanes<W>::iota();
     unsigned i = 0;
-    if (n >= W) {
-        Lanes<W> addr = Lanes<W>::broadcast(base) +
-                        Lanes<W>::iota() * Lanes<W>::broadcast(s);
-        const Lanes<W> step = Lanes<W>::broadcast(s * W);
-        for (; i + W <= n; i += W) {
-            (addr >> shift).store(lines + i);
-            addr = addr + step;
-        }
-    }
+    for (; i + W <= n; i += W)
+        ((vbase + (lane + Lanes<W>::broadcast(i)) * vs) >> shift)
+            .store(lines + i);
     for (; i < n; ++i)
         lines[i] = (base + s * i) >> shift;
 }

@@ -8,7 +8,8 @@
  * dominate the profile.  FlatSet/FlatMap store entries inline in one
  * power-of-two array with linear probing, so a lookup is a mix, a
  * mask and a short scan, and the only allocations ever made are the
- * doubling rehashes.
+ * doubling rehashes (or one up-front FlatSet::reserve()).  FlatSet
+ * stores bare keys, with ~0 as the empty-slot marker.
  *
  * Erase is tombstone-free: removing an entry backward-shifts the
  * following probe chain into the gap, so tables never degrade with
@@ -28,8 +29,10 @@
 #ifndef VCACHE_UTIL_FLAT_HASH_HH
 #define VCACHE_UTIL_FLAT_HASH_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -227,45 +230,166 @@ class FlatMap
     [[no_unique_address]] Hash hash{};
 };
 
-/** Open-addressing hash set with inline storage. */
+/**
+ * Open-addressing hash set of unsigned integer keys, stored key-only.
+ *
+ * A slot is just the key: the all-ones value ~0 marks an empty slot,
+ * and a real ~0 key lives in a side flag instead of the table (the
+ * same split TagArray makes for its kEmptyTag frame).  Eight-byte
+ * slots at a maximum load of 1/2 keep probe chains short and let a
+ * set presized for a cache's lines fit in half the memory a
+ * key/flag/value slot would need.  reserve() presizes so that a
+ * known number of insertions never rehashes.
+ */
 template <typename Key, typename Hash = FlatHash64>
 class FlatSet
 {
+    static_assert(std::is_unsigned_v<Key>,
+                  "FlatSet stores unsigned integer keys");
+
   public:
     FlatSet() = default;
 
-    std::size_t size() const { return table.size(); }
-    bool empty() const { return table.empty(); }
+    std::size_t size() const { return count + (hasEmptyKey ? 1 : 0); }
+    bool empty() const { return size() == 0; }
+
+    /** Slots in the table (the ~0 key never occupies one). */
+    std::size_t capacity() const { return slots.size(); }
 
     /** @return true if the key was newly inserted. */
     bool
-    insert(const Key &key)
+    insert(Key key)
     {
-        return table.insertOrAssign(key, Unit{});
+        if (key == kEmpty) {
+            const bool fresh = !hasEmptyKey;
+            hasEmptyKey = true;
+            return fresh;
+        }
+        if ((count + 1) * 2 > slots.size())
+            rehash(slots.empty() ? kMinCapacity : slots.size() * 2);
+        const std::size_t i = probe(key);
+        if (slots[i] == key)
+            return false;
+        slots[i] = key;
+        ++count;
+        return true;
     }
 
-    bool contains(const Key &key) const { return table.contains(key); }
+    bool
+    contains(Key key) const
+    {
+        if (key == kEmpty)
+            return hasEmptyKey;
+        return count != 0 && slots[probe(key)] == key;
+    }
 
     /** Remove a key; @return true if it was present. */
-    bool erase(const Key &key) { return table.erase(key); }
+    bool
+    erase(Key key)
+    {
+        if (key == kEmpty) {
+            const bool present = hasEmptyKey;
+            hasEmptyKey = false;
+            return present;
+        }
+        if (count == 0)
+            return false;
+        std::size_t gap = probe(key);
+        if (slots[gap] != key)
+            return false;
+
+        // Tombstone-free removal: walk the chain after the gap and
+        // shift back every key whose probe distance reaches across
+        // the gap, so later lookups never hit a hole mid-chain.
+        const std::size_t mask = slots.size() - 1;
+        std::size_t j = gap;
+        for (;;) {
+            j = (j + 1) & mask;
+            if (slots[j] == kEmpty)
+                break;
+            const std::size_t home = hash(slots[j]) & mask;
+            if (((j - home) & mask) >= ((j - gap) & mask)) {
+                slots[gap] = slots[j];
+                gap = j;
+            }
+        }
+        slots[gap] = kEmpty;
+        --count;
+        return true;
+    }
+
+    /** Room for `n` keys in total without a rehash. */
+    void
+    reserve(std::size_t n)
+    {
+        std::size_t want = kMinCapacity;
+        while (want < n * 2)
+            want *= 2;
+        if (want > slots.size())
+            rehash(want);
+    }
 
     /** Drop every entry but keep the table's capacity. */
-    void clear() { table.clear(); }
+    void
+    clear()
+    {
+        if (count != 0)
+            std::fill(slots.begin(), slots.end(), kEmpty);
+        count = 0;
+        hasEmptyKey = false;
+    }
 
     /** Visit every key in unspecified order. */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        table.forEach([&fn](const Key &key, const Unit &) { fn(key); });
+        for (const Key key : slots)
+            if (key != kEmpty)
+                fn(key);
+        if (hasEmptyKey)
+            fn(kEmpty);
     }
 
   private:
-    struct Unit
-    {
-    };
+    static constexpr Key kEmpty = ~Key{0};
+    static constexpr std::size_t kMinCapacity = 16;
 
-    FlatMap<Key, Unit, Hash> table;
+    /**
+     * Index of the key's slot if present, else of the empty slot
+     * where it would be inserted.  Requires a non-empty table.
+     */
+    std::size_t
+    probe(Key key) const
+    {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = hash(key) & mask;
+        while (slots[i] != kEmpty && slots[i] != key)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Move every key into a fresh table of `capacity` slots. */
+    void
+    rehash(std::size_t capacity)
+    {
+        std::vector<Key> old(capacity, kEmpty);
+        old.swap(slots);
+        const std::size_t mask = slots.size() - 1;
+        for (const Key key : old) {
+            if (key == kEmpty)
+                continue;
+            std::size_t i = hash(key) & mask;
+            while (slots[i] != kEmpty)
+                i = (i + 1) & mask;
+            slots[i] = key;
+        }
+    }
+
+    std::vector<Key> slots;
+    std::size_t count = 0; ///< keys in `slots` (excludes ~0)
+    bool hasEmptyKey = false;
+    [[no_unique_address]] Hash hash{};
 };
 
 } // namespace vcache

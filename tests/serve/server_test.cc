@@ -12,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -54,6 +55,8 @@ class TestClient
     }
 
     bool ok() const { return connected; }
+
+    int socketFd() const { return fd; }
 
     void
     send(const std::string &line)
@@ -140,6 +143,34 @@ slowReq(const std::string &id, std::uint64_t seed,
            std::to_string(seed) + extra + "}";
 }
 
+/**
+ * The server's end of `client`'s connection, found among this
+ * process's descriptors (the server runs in-process): the socket whose
+ * peer address is the client's local address.  -1 if there is none.
+ */
+int
+serverEndOf(const TestClient &client)
+{
+    sockaddr_in local{};
+    socklen_t len = sizeof local;
+    if (::getsockname(client.socketFd(),
+                      reinterpret_cast<sockaddr *>(&local), &len) != 0)
+        return -1;
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in peer{};
+        socklen_t peer_len = sizeof peer;
+        if (fd == client.socketFd() ||
+            ::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                          &peer_len) != 0)
+            continue;
+        if (peer.sin_family == AF_INET &&
+            peer.sin_port == local.sin_port &&
+            peer.sin_addr.s_addr == local.sin_addr.s_addr)
+            return fd;
+    }
+    return -1;
+}
+
 } // namespace
 
 TEST(Server, HelloHandshake)
@@ -153,6 +184,29 @@ TEST(Server, HelloHandshake)
     EXPECT_TRUE(contains(hello, "\"ok\":true"));
     EXPECT_TRUE(contains(hello, "\"proto\":1"));
     EXPECT_TRUE(contains(hello, "\"identity\":\""));
+}
+
+/**
+ * Every reply is one small write, so with Nagle's algorithm a reply
+ * sent while the previous one is unacknowledged waits for the
+ * client's delayed ACK.  Accepted sockets must carry TCP_NODELAY.
+ */
+TEST(Server, AcceptedSocketsDisableNagle)
+{
+    auto server = mustStart(ServerOptions{});
+    ASSERT_TRUE(server);
+    TestClient client(server->port());
+    ASSERT_TRUE(client.ok());
+    // A reply proves the server has accepted the connection.
+    ASSERT_TRUE(contains(client.roundTrip("{\"op\":\"hello\"}"),
+                         "\"ok\":true"));
+    const int fd = serverEndOf(client);
+    ASSERT_GE(fd, 0);
+    int nodelay = 0;
+    socklen_t len = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+              0);
+    EXPECT_NE(nodelay, 0);
 }
 
 TEST(Server, EvalThenCacheHitIsByteIdentical)

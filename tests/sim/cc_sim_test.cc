@@ -126,6 +126,62 @@ TEST(CcSimulator, ResetGivesRepeatableRuns)
     EXPECT_EQ(a.hits, b.hits);
 }
 
+void
+expectSameRun(const SimResult &a, const CacheStats &sa,
+              const SimResult &b, const CacheStats &sb)
+{
+    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.results, b.results);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.compulsoryMisses, b.compulsoryMisses);
+    EXPECT_EQ(sa.accesses, sb.accesses);
+    EXPECT_EQ(sa.hits, sb.hits);
+    EXPECT_EQ(sa.misses, sb.misses);
+    EXPECT_EQ(sa.reads, sb.reads);
+    EXPECT_EQ(sa.writes, sb.writes);
+    EXPECT_EQ(sa.evictions, sb.evictions);
+    EXPECT_EQ(sa.writebacks, sb.writebacks);
+}
+
+/**
+ * The first-touch set is reserved once from the cache geometry and
+ * only cleared by reset(): a run on the reused (cleared, possibly
+ * grown) table must match the run on the fresh one, for every kind
+ * of cache.  The multistride footprint exceeds the reservation, so
+ * the first run also grows the table that the second run reuses.
+ */
+TEST(CcSimulator, ResetReusesFirstTouchSetBitIdentically)
+{
+    const MachineParams m = paperMachineM32();
+    CacheConfig assoc;
+    assoc.organization = Organization::SetAssociative;
+    assoc.indexBits = 13;
+    assoc.associativity = 4;
+    const CacheConfig configs[] = {
+        ccCacheConfig(m, CacheScheme::Direct),
+        ccCacheConfig(m, CacheScheme::Prime),
+        assoc,
+    };
+    const Trace small = repeatedSweep(3, 700, 3);
+    const Trace large = generateMultistrideTrace(
+        MultistrideParams{2048, 64, 0.25, 8192, 0}, 29);
+    for (const CacheConfig &config : configs) {
+        SCOPED_TRACE(describe(config));
+        for (const Trace *trace : {&small, &large}) {
+            CcSimulator sim(m, config);
+            const SimResult first = sim.run(*trace);
+            const CacheStats first_stats = sim.cache().stats();
+            EXPECT_GT(first.compulsoryMisses, 0u);
+            sim.reset();
+            const SimResult again = sim.run(*trace);
+            expectSameRun(first, first_stats, again,
+                          sim.cache().stats());
+        }
+    }
+}
+
 TEST(CcSimulator, CustomCacheConfiguration)
 {
     // The simulator accepts any cache, e.g. 2-way set-associative.

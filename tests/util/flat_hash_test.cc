@@ -53,6 +53,92 @@ TEST(FlatSet, GrowsAcrossRehash)
     EXPECT_FALSE(set.contains(1));
 }
 
+constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+
+/** ~0 is the empty-slot marker, so the real ~0 key lives beside the
+ *  table; it must behave like any other key. */
+TEST(FlatSet, AllOnesKeyInsertContainsErase)
+{
+    FlatSet<std::uint64_t> set;
+    EXPECT_FALSE(set.contains(kAllOnes));
+    EXPECT_FALSE(set.erase(kAllOnes));
+    EXPECT_TRUE(set.insert(kAllOnes));
+    EXPECT_FALSE(set.insert(kAllOnes));
+    EXPECT_TRUE(set.contains(kAllOnes));
+    EXPECT_FALSE(set.contains(kAllOnes - 1));
+    EXPECT_EQ(set.size(), 1u);
+    EXPECT_FALSE(set.empty());
+    EXPECT_TRUE(set.insert(kAllOnes - 1));
+    EXPECT_EQ(set.size(), 2u);
+    EXPECT_TRUE(set.erase(kAllOnes));
+    EXPECT_FALSE(set.erase(kAllOnes));
+    EXPECT_FALSE(set.contains(kAllOnes));
+    EXPECT_TRUE(set.contains(kAllOnes - 1));
+    EXPECT_EQ(set.size(), 1u);
+    set.insert(kAllOnes);
+    set.clear();
+    EXPECT_FALSE(set.contains(kAllOnes));
+    EXPECT_TRUE(set.empty());
+}
+
+TEST(FlatSet, AllOnesKeySurvivesRehash)
+{
+    FlatSet<std::uint64_t> set;
+    EXPECT_TRUE(set.insert(kAllOnes));
+    const std::size_t before = set.capacity();
+    std::uint64_t n = 0;
+    while (set.capacity() == before)
+        set.insert(n++);
+    EXPECT_TRUE(set.contains(kAllOnes));
+    EXPECT_EQ(set.size(), n + 1);
+    std::uint64_t visits = 0;
+    set.forEach([&](std::uint64_t key) {
+        visits += key == kAllOnes ? 1 : 0;
+    });
+    EXPECT_EQ(visits, 1u);
+    EXPECT_TRUE(set.erase(kAllOnes));
+    EXPECT_EQ(set.size(), n);
+}
+
+TEST(FlatSet, ReserveThenNoGrowth)
+{
+    FlatSet<std::uint64_t> set;
+    set.reserve(1000);
+    const std::size_t reserved = set.capacity();
+    // Maximum load is 1/2.
+    EXPECT_GE(reserved, 2000u);
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        EXPECT_TRUE(set.insert(i * 0x9e3779b97f4a7c15ull));
+    EXPECT_EQ(set.capacity(), reserved);
+    // The side-flagged ~0 key takes no slot.
+    EXPECT_TRUE(set.insert(kAllOnes));
+    EXPECT_EQ(set.capacity(), reserved);
+    // Reserving less than the table holds is a no-op; reserving more
+    // keeps every key.
+    set.reserve(10);
+    EXPECT_EQ(set.capacity(), reserved);
+    set.reserve(5000);
+    EXPECT_GE(set.capacity(), 10000u);
+    EXPECT_EQ(set.size(), 1001u);
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        EXPECT_TRUE(set.contains(i * 0x9e3779b97f4a7c15ull));
+    EXPECT_TRUE(set.contains(kAllOnes));
+}
+
+TEST(FlatSet, ClearKeepsCapacity)
+{
+    FlatSet<std::uint64_t> set;
+    for (std::uint64_t i = 0; i < 5000; ++i)
+        set.insert(i);
+    const std::size_t grown = set.capacity();
+    set.clear();
+    EXPECT_EQ(set.capacity(), grown);
+    EXPECT_TRUE(set.empty());
+    for (std::uint64_t i = 0; i < 5000; ++i)
+        EXPECT_TRUE(set.insert(i + 7));
+    EXPECT_EQ(set.capacity(), grown);
+}
+
 TEST(FlatMap, OperatorIndexAndFind)
 {
     FlatMap<std::uint64_t, int> map;
@@ -172,10 +258,45 @@ TEST(FlatMap, EraseAtBoundaryLeavesIndependentChain)
 }
 
 /**
- * The satellite differential test: random interleavings of
- * insert/erase/find/clear against the std containers, with a key
- * range small enough that erases hit and chains overlap, across
- * enough operations to cross several growth rehashes.
+ * The key-only FlatSet layout gets the same wraparound pin: keys 15,
+ * 31 and 47 share home slot 15, so with 14 in slot 14 the chain wraps
+ * into slots 0 and 1 of the 16-slot table (4 keys stay under its 1/2
+ * load, so the table does not grow).
+ */
+TEST(FlatSet, EraseBackwardShiftAcrossWraparound)
+{
+    const std::uint64_t keys[] = {14, 15, 31, 47};
+    for (const std::uint64_t victim : keys) {
+        FlatSet<std::uint64_t, IdentityHash> set;
+        for (const std::uint64_t k : keys)
+            set.insert(k);
+        ASSERT_EQ(set.capacity(), 16u);
+        EXPECT_TRUE(set.erase(victim));
+        EXPECT_FALSE(set.erase(victim));
+        for (const std::uint64_t k : keys)
+            EXPECT_EQ(set.contains(k), k != victim)
+                << "key " << k << " erasing " << victim;
+        EXPECT_TRUE(set.insert(victim));
+        EXPECT_TRUE(set.contains(victim));
+        EXPECT_EQ(set.size(), 4u);
+    }
+
+    // An independent chain homed after the gap must stay put.
+    FlatSet<std::uint64_t, IdentityHash> set;
+    set.insert(15);
+    set.insert(0);
+    set.insert(16); // 16 & 15 == 0: same home as key 0
+    EXPECT_TRUE(set.erase(15));
+    EXPECT_TRUE(set.contains(0));
+    EXPECT_TRUE(set.contains(16));
+    EXPECT_FALSE(set.contains(15));
+}
+
+/**
+ * Differential test: random interleavings of insert/erase/find/clear
+ * against the std containers, with a key range small enough that
+ * erases hit and chains overlap, across enough operations to cross
+ * several growth rehashes.  The set's key range includes ~0.
  */
 TEST(FlatHashDifferential, SetMatchesUnorderedSet)
 {
@@ -183,8 +304,13 @@ TEST(FlatHashDifferential, SetMatchesUnorderedSet)
     FlatSet<std::uint64_t> flat;
     std::unordered_set<std::uint64_t> ref;
 
+    // The top two draws stand for ~0 (the side-flagged key) and ~0-1
+    // (an ordinary key next to the empty marker).
+    auto keyOf = [](std::uint64_t draw) {
+        return draw >= 4094 ? kAllOnes - (draw - 4094) : draw;
+    };
     for (int op = 0; op < 200000; ++op) {
-        const std::uint64_t key = rng.uniformInt(0, 4095);
+        const std::uint64_t key = keyOf(rng.uniformInt(0, 4095));
         const std::uint64_t what = rng.uniformInt(0, 99);
         if (what < 55) {
             EXPECT_EQ(flat.insert(key), ref.insert(key).second);
@@ -200,8 +326,8 @@ TEST(FlatHashDifferential, SetMatchesUnorderedSet)
     }
 
     // Full-content sweep at the end.
-    for (std::uint64_t key = 0; key < 4096; ++key)
-        EXPECT_EQ(flat.contains(key), ref.count(key) > 0);
+    for (std::uint64_t draw = 0; draw < 4096; ++draw)
+        EXPECT_EQ(flat.contains(keyOf(draw)), ref.count(keyOf(draw)) > 0);
     std::uint64_t seen = 0;
     flat.forEach([&](std::uint64_t key) {
         ++seen;

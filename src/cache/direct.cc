@@ -30,14 +30,23 @@ DirectMappedCache::verifySteadyRun(Addr base, std::int64_t stride,
     const std::uint64_t period =
         steadyRunPeriod(tags_.size(), stride);
     const std::uint64_t distinct = period < length ? period : length;
-    for (std::uint64_t r = 0; r < distinct; ++r) {
-        // Last element of residue class r: the line this frame must
-        // hold after any complete pass over the run.
-        const std::uint64_t last =
-            r + (length - 1 - r) / period * period;
-        const Addr addr = static_cast<Addr>(
-            static_cast<std::int64_t>(base) +
-            stride * static_cast<std::int64_t>(last));
+    // Frame r must hold the last element of residue class r: r
+    // itself when the run is no longer than one period; otherwise r +
+    // q*period for the classes up to (length - 1) mod period and one
+    // period less after them.  One divide serves every class, and the
+    // address steps by `stride` (wrap-free mod 2^64 arithmetic: every
+    // address is a true member of the run).
+    std::uint64_t last = 0;
+    std::uint64_t cut = distinct;
+    if (period < length) {
+        last = (length - 1) / period * period;
+        cut = length - last;
+    }
+    const Addr step = static_cast<Addr>(stride);
+    Addr addr = base + step * last;
+    for (std::uint64_t r = 0; r < distinct; ++r, addr += step) {
+        if (r == cut)
+            addr -= step * period;
         const std::uint64_t f = frameOf(addr);
         if (!tags_.resident(f, addr))
             return false;

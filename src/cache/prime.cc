@@ -39,12 +39,19 @@ PrimeMappedCache::verifySteadyRun(Addr base, std::int64_t stride,
     const std::uint64_t period =
         steadyRunPeriod(tags_.size(), stride);
     const std::uint64_t distinct = period < length ? period : length;
-    for (std::uint64_t r = 0; r < distinct; ++r) {
-        const std::uint64_t last =
-            r + (length - 1 - r) / period * period;
-        const Addr addr = static_cast<Addr>(
-            static_cast<std::int64_t>(base) +
-            stride * static_cast<std::int64_t>(last));
+    // Last element of each residue class, stepped without a divide
+    // per frame (see the direct-mapped twin).
+    std::uint64_t last = 0;
+    std::uint64_t cut = distinct;
+    if (period < length) {
+        last = (length - 1) / period * period;
+        cut = length - last;
+    }
+    const Addr step = static_cast<Addr>(stride);
+    Addr addr = base + step * last;
+    for (std::uint64_t r = 0; r < distinct; ++r, addr += step) {
+        if (r == cut)
+            addr -= step * period;
         const std::uint64_t f = frameOf(addr);
         if (!tags_.resident(f, addr))
             return false;

@@ -10,16 +10,6 @@ PipelinedBus::PipelinedBus(std::string name) : label(std::move(name))
 }
 
 Cycles
-PipelinedBus::reserve(Cycles earliest)
-{
-    const Cycles when = std::max(earliest, nextFree);
-    waited += when - earliest;
-    nextFree = when + 1;
-    ++count;
-    return when;
-}
-
-Cycles
 PipelinedBus::reserveMany(Cycles earliest, std::uint64_t n)
 {
     const Cycles first = std::max(earliest, nextFree);
@@ -41,16 +31,6 @@ PipelinedBus::reset()
 
 BusSet::BusSet() : rd0("read0"), rd1("read1"), wr("write")
 {
-}
-
-Cycles
-BusSet::reserveRead(Cycles earliest)
-{
-    // Two read buses serve the two concurrent vector streams; pick
-    // whichever can accept the transfer sooner (ties favour bus 0).
-    if (rd1.nextFreeAt() < rd0.nextFreeAt())
-        return rd1.reserve(earliest);
-    return rd0.reserve(earliest);
 }
 
 Cycles

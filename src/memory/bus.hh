@@ -28,7 +28,15 @@ class PipelinedBus
      * Reserve the next slot at or after `earliest`.
      * @return the cycle in which the transfer occupies the bus
      */
-    Cycles reserve(Cycles earliest);
+    Cycles
+    reserve(Cycles earliest)
+    {
+        const Cycles when = earliest > nextFree ? earliest : nextFree;
+        waited += when - earliest;
+        nextFree = when + 1;
+        ++count;
+        return when;
+    }
 
     /**
      * Reserve `n` consecutive slots at or after `earliest` in closed
@@ -85,8 +93,19 @@ class BusSet
   public:
     BusSet();
 
-    /** Round-robin-free read bus: picks the earliest available. */
-    Cycles reserveRead(Cycles earliest);
+    /**
+     * Round-robin-free read bus: picks the earliest available.
+     * Inline: every compulsory miss takes this step.
+     */
+    Cycles
+    reserveRead(Cycles earliest)
+    {
+        // Two read buses serve the two concurrent vector streams; pick
+        // whichever can accept the transfer sooner (ties favour bus 0).
+        if (rd1.nextFreeAt() < rd0.nextFreeAt())
+            return rd1.reserve(earliest);
+        return rd0.reserve(earliest);
+    }
 
     /**
      * reserveRead() with an Observer policy hook reporting how many

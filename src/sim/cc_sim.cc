@@ -18,19 +18,12 @@ ccCacheConfig(const MachineParams &params, CacheScheme scheme)
     return config;
 }
 
-void
-reserveFirstTouch(FlatSet<Addr> &touched, const Cache &cache)
-{
-    constexpr std::uint64_t kMaxSlots = 8192;
-    touched.reserve(std::min(cache.numLines(), kMaxSlots) / 2);
-}
-
 CcSimulator::CcSimulator(const MachineParams &params,
                          const CacheConfig &cache_config)
     : machine(params), vectorCache(makeCache(cache_config)),
-      memory(params.bankBits, params.memoryTime, params.bankMapping)
+      memory(params.bankBits, params.memoryTime, params.bankMapping),
+      firstTouch(*vectorCache)
 {
-    reserveFirstTouch(touchedLines, *vectorCache);
 }
 
 CcSimulator::CcSimulator(const MachineParams &params, CacheScheme scheme)
@@ -53,7 +46,7 @@ CcSimulator::reset()
     vectorCache->reset();
     memory.reset();
     buses.reset();
-    touchedLines.clear(); // keeps the constructor's reservation
+    firstTouch.clear();
     clock = 0;
     inFlight.clear();
     prefetchCount = 0;

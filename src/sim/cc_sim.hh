@@ -28,6 +28,13 @@
  * prefetch with cycle stamps and set indices.  runVirtual() forces
  * the virtual fallback so tests can pin the fast paths against it.
  *
+ * First touches: before an op runs, the first-touch ledger
+ * (sim/first_touch.hh) classifies each of its streams, so the misses
+ * of Fresh and Covered streams are classified without a hash lookup.
+ * Under Auto, an uninstrumented Fresh single stream -- every element a
+ * compulsory miss issued like an MM access -- runs as the MM
+ * machine's closed form (fastForwardStream) plus one tag-fill loop.
+ *
  * Run batching (SimEngine::Auto, the default for uninstrumented
  * runs): vector workloads repeat the same constant-stride operation
  * over and over, and after the first pass the cache settles into the
@@ -71,6 +78,8 @@
 #include "memory/interleaved.hh"
 #include "sim/cancel.hh"
 #include "sim/engine.hh"
+#include "sim/first_touch.hh"
+#include "sim/mm_sim.hh"
 #include "sim/observe.hh"
 #include "sim/result.hh"
 #include "simd/kernels.hh"
@@ -179,13 +188,16 @@ class CcSimulator
      * Restore a Cache::captureState() live-point snapshot into this
      * simulator's cache (sampling-engine resume; see sim/sampling.hh).
      * Bank and bus timing state is *not* part of a live-point -- the
-     * caller re-warms it with a detailed-warming prefix.
+     * caller re-warms it with a detailed-warming prefix.  A restored
+     * cache holds lines no recorded stream brought in, so the
+     * first-touch ledger falls back to its per-element set.
      *
      * @return false on a geometry mismatch (cache unchanged)
      */
     bool
     restoreCacheState(const std::vector<std::uint64_t> &blob)
     {
+        firstTouch.fallBack();
         return vectorCache->restoreState(blob);
     }
 
@@ -198,8 +210,14 @@ class CcSimulator
     void
     seedTouchedLines(const std::vector<Addr> &lines)
     {
-        for (Addr line : lines)
-            touchedLines.insert(line);
+        firstTouch.seed(lines);
+    }
+
+    /** How the first-touch ledger classified this run's streams. */
+    const FirstTouchStats &
+    firstTouchStats() const
+    {
+        return firstTouch.stats();
     }
 
     const Cache &cache() const { return *vectorCache; }
@@ -263,6 +281,16 @@ class CcSimulator
     void stripLoop(CacheT &cache, const VectorOp &op, SimResult &result,
                    Observer &obs);
 
+    /**
+     * Run a single stream that is first-touch throughout: the MM
+     * closed form for its timing plus one tag-fill loop.
+     *
+     * @return false (nothing changed) when the closed form refuses
+     */
+    template <typename CacheT>
+    bool tryFreshRun(CacheT &cache, const VectorRef &ref,
+                     SimResult &result);
+
     /** The run-batched whole-run loop (uninstrumented only). */
     template <typename CacheT, typename Observer>
     SimResult runBatched(CacheT &cache, TraceSource &source,
@@ -297,10 +325,14 @@ class CcSimulator
     /** Replay a Verified memo's deltas in O(1). */
     void applyBatch(const BatchMemo &memo, SimResult &result);
 
-    /** Access one element, advancing the pipeline clock. */
+    /**
+     * Access one element of a stream of class `cls`, advancing the
+     * pipeline clock.
+     */
     template <typename CacheT, bool Prefetching, typename Observer>
     void accessElement(CacheT &cache, const AddressLayout &layout,
-                       Addr addr, SimResult &result, Observer &obs,
+                       Addr addr, StreamClass cls, SimResult &result,
+                       Observer &obs,
                        StreamOperand operand = StreamOperand::First);
 
     /** Launch the prefetches triggered at `addr` (timed). */
@@ -330,9 +362,8 @@ class CcSimulator
     std::unique_ptr<Cache> vectorCache;
     InterleavedMemory memory;
     BusSet buses;
-    /** Every line ever brought in (first touch => compulsory);
-     *  presized by reserveFirstTouch(). */
-    FlatSet<Addr> touchedLines;
+    /** Every line ever brought in (first touch => compulsory). */
+    FirstTouchLedger firstTouch;
     Cycles clock = 0;
     bool nonBlocking = false;
     bool gangReplay = simd::gangReplayDefault();
@@ -352,17 +383,6 @@ class CcSimulator
 /** Cache configuration matching the analytic machine and scheme. */
 CacheConfig ccCacheConfig(const MachineParams &params,
                           CacheScheme scheme);
-
-/**
- * Presize a first-touch (compulsory-miss) set from the cache geometry,
- * never from the workload: one slot per cache line, so a run touching
- * up to half as many distinct lines as the cache holds never rehashes.
- * The table is capped at 8192 slots (64 KiB), below glibc's 128 KiB
- * mmap threshold, so a cold simulation takes its table from the heap
- * instead of faulting in fresh mmapped pages.  Larger footprints grow
- * the table by doubling.
- */
-void reserveFirstTouch(FlatSet<Addr> &touched, const Cache &cache);
 
 template <typename CacheT, typename Observer>
 void
@@ -391,7 +411,7 @@ CcSimulator::issuePrefetches(CacheT &cache, const AddressLayout &layout,
             obs.onPrefetchIssue(clock, line);
         inFlight.insertOrAssign(line, when + machine.memoryTime);
         setFrameFlag(cache, line, Cache::kPrefetchedFlag);
-        touchedLines.insert(line);
+        firstTouch.insert(line);
         ++prefetchCount;
     }
 }
@@ -399,8 +419,8 @@ CcSimulator::issuePrefetches(CacheT &cache, const AddressLayout &layout,
 template <typename CacheT, bool Prefetching, typename Observer>
 VCACHE_ALWAYS_INLINE void
 CcSimulator::accessElement(CacheT &cache, const AddressLayout &layout,
-                           Addr addr, SimResult &result, Observer &obs,
-                           StreamOperand operand)
+                           Addr addr, StreamClass cls, SimResult &result,
+                           Observer &obs, StreamOperand operand)
 {
     const Addr line = layout.lineAddress(addr);
     const AccessOutcome outcome = probeLine(cache, line);
@@ -444,7 +464,11 @@ CcSimulator::accessElement(CacheT &cache, const AddressLayout &layout,
     }
 
     ++result.misses;
-    const bool first_touch = touchedLines.insert(line);
+    // Only Lookup streams need the set; the ledger settled the other
+    // two classes for the whole stream before the op began.
+    const bool first_touch = cls == StreamClass::Lookup
+                                 ? firstTouch.insert(line)
+                                 : cls == StreamClass::Fresh;
     if (first_touch || nonBlocking) {
         // Compulsory miss (or any miss of a lockup-free cache): part
         // of the pipelined load stream; it flows through bus and
@@ -493,12 +517,47 @@ CcSimulator::dispatchRun(CacheT &cache, TraceSource &source,
     return runImpl<CacheT, true>(cache, source, obs);
 }
 
+template <typename CacheT>
+bool
+CcSimulator::tryFreshRun(CacheT &cache, const VectorRef &ref,
+                         SimResult &result)
+{
+    if (!fastForwardStream(machine, ref, memory, buses, clock, result))
+        return false;
+    // No element can hit and every strip head is cold, so what is left
+    // is the tag state and counters the misses leave behind, in issue
+    // order.
+    const AddressLayout &layout = cache.addressLayout();
+    Addr a = ref.base;
+    for (std::uint64_t i = 0; i < ref.length; ++i) {
+        cache.recordAccess(probeLine(cache, layout.lineAddress(a)),
+                           AccessType::Read);
+        a = static_cast<Addr>(static_cast<std::int64_t>(a) + ref.stride);
+    }
+    result.misses += ref.length;
+    result.compulsoryMisses += ref.length;
+    return true;
+}
+
 template <typename CacheT, bool Prefetching, typename Observer>
 void
 CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
                        SimResult &result, Observer &obs)
 {
     const AddressLayout &layout = cache.addressLayout();
+    const OpClasses cls = firstTouch.classify(op);
+    const VectorRef *second = op.second ? &op.second.value() : nullptr;
+
+    // A first-touch single stream misses on every element, and each
+    // compulsory miss issues exactly like an MM access (Equation 1),
+    // so the whole op is the MM machine's closed form.  Scalar keeps
+    // the element loop as the reference the closed form is pinned to.
+    if constexpr (!Prefetching && !Observer::kEnabled) {
+        if (!second && cls.first == StreamClass::Fresh &&
+            engineKind != SimEngine::Scalar &&
+            tryFreshRun(cache, op.first, result))
+            return;
+    }
 
     // The strip start-up only takes two values per op -- cold head,
     // or warm head with the memory-latency credit of Equation (4) --
@@ -509,7 +568,6 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
     const Cycles warm_startup = static_cast<Cycles>(
         base_startup - static_cast<double>(machine.memoryTime));
 
-    const VectorRef *second = op.second ? &op.second.value() : nullptr;
     const std::int64_t s1 = op.first.stride;
     const std::int64_t s2 = second ? second->stride : 0;
 
@@ -544,8 +602,6 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
                 for (std::uint64_t i = 0; i < count;) {
                     const unsigned g = static_cast<unsigned>(
                         std::min<std::uint64_t>(max_g, count - i));
-                    std::uint32_t hits =
-                        probeStrideGang(cache, a1, s1, g);
                     unsigned g2 = 0;
                     Addr a2 = 0;
                     if (second) {
@@ -556,30 +612,40 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
                         g2 = static_cast<unsigned>(
                             std::min<std::uint64_t>(g, left));
                         a2 = second->element(done + i);
-                        hits |= probeStrideGang(cache, a2, s2, g2)
-                                << g;
                     }
-                    const unsigned total = g + g2;
-                    if (hits == simd::fullMask(total)) {
-                        cache.recordReadHits(total);
-                        result.hits += total;
-                        result.results += g;
-                        clock += total;
-                        i += g;
-                        a1 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a1) + s1 * g);
-                        continue;
+                    // A fresh element always misses, so a gang holding
+                    // one never hits throughout: skip the probe.
+                    const bool fresh =
+                        cls.first == StreamClass::Fresh ||
+                        (g2 != 0 && cls.second == StreamClass::Fresh);
+                    if (!fresh) {
+                        std::uint32_t hits =
+                            probeStrideGang(cache, a1, s1, g);
+                        if (g2 != 0)
+                            hits |= probeStrideGang(cache, a2, s2, g2)
+                                    << g;
+                        const unsigned total = g + g2;
+                        if (hits == simd::fullMask(total)) {
+                            cache.recordReadHits(total);
+                            result.hits += total;
+                            result.results += g;
+                            clock += total;
+                            i += g;
+                            a1 = static_cast<Addr>(
+                                static_cast<std::int64_t>(a1) + s1 * g);
+                            continue;
+                        }
                     }
                     // Scalar replay of this gang, exactly the
                     // element-at-a-time interleaving.
                     for (unsigned j = 0; j < g; ++j) {
                         accessElement<CacheT, Prefetching>(
-                            cache, layout, a1, result, obs,
+                            cache, layout, a1, cls.first, result, obs,
                             StreamOperand::First);
                         if (second && done + i < second->length)
                             accessElement<CacheT, Prefetching>(
-                                cache, layout, a2, result, obs,
-                                StreamOperand::Second);
+                                cache, layout, a2, cls.second, result,
+                                obs, StreamOperand::Second);
                         ++result.results;
                         ++i;
                         a1 = static_cast<Addr>(
@@ -595,13 +661,13 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
         if (second) {
             Addr a2 = second->element(done);
             for (std::uint64_t i = 0; i < count; ++i) {
-                accessElement<CacheT, Prefetching>(cache, layout, a1,
-                                               result, obs,
-                                               StreamOperand::First);
+                accessElement<CacheT, Prefetching>(
+                    cache, layout, a1, cls.first, result, obs,
+                    StreamOperand::First);
                 if (done + i < second->length)
-                    accessElement<CacheT, Prefetching>(cache, layout, a2,
-                                                   result, obs,
-                                                   StreamOperand::Second);
+                    accessElement<CacheT, Prefetching>(
+                        cache, layout, a2, cls.second, result, obs,
+                        StreamOperand::Second);
                 ++result.results;
                 a1 = static_cast<Addr>(
                     static_cast<std::int64_t>(a1) + s1);
@@ -610,8 +676,8 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
             }
         } else {
             for (std::uint64_t i = 0; i < count; ++i) {
-                accessElement<CacheT, Prefetching>(cache, layout, a1,
-                                               result, obs);
+                accessElement<CacheT, Prefetching>(
+                    cache, layout, a1, cls.first, result, obs);
                 ++result.results;
                 a1 = static_cast<Addr>(
                     static_cast<std::int64_t>(a1) + s1);
@@ -626,6 +692,10 @@ CcSimulator::runImpl(CacheT &cache, TraceSource &source, Observer &obs)
 {
     SimResult result;
 
+    // Prefetches bring lines in outside any recorded stream, so a
+    // run that can issue them tracks first touches per element.
+    if constexpr (Prefetching)
+        firstTouch.fallBack();
     if constexpr (Observer::kEnabled)
         obs.onRunBegin(cache.numSets(), cache.numLines());
 

@@ -8,7 +8,7 @@
 #include "memory/bus.hh"
 #include "memory/interleaved.hh"
 #include "sim/cc_sim.hh"
-#include "util/flat_hash.hh"
+#include "sim/first_touch.hh"
 
 namespace vcache
 {
@@ -84,8 +84,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
 
     // Functional state, shared across every lane (see gang.hh).
     const AddressLayout &layout = cache.addressLayout();
-    FlatSet<Addr> touched;
-    reserveFirstTouch(touched, cache);
+    FirstTouchLedger touched(cache);
     SimResult shared;
     PendingCounts pend;
 
@@ -106,7 +105,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
 
     // One element, mirroring CcSimulator::accessElement for the
     // no-prefetch, blocking-miss, uninstrumented configuration.
-    auto access = [&](Addr addr) {
+    auto access = [&](Addr addr, StreamClass cls) {
         const Addr line = layout.lineAddress(addr);
         const AccessOutcome outcome = probeLine(cache, line);
         cache.recordAccess(outcome, AccessType::Read);
@@ -116,7 +115,10 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
             return;
         }
         ++shared.misses;
-        if (touched.insert(line)) {
+        const bool first_touch = cls == StreamClass::Lookup
+                                     ? touched.insert(line)
+                                     : cls == StreamClass::Fresh;
+        if (first_touch) {
             // Compulsory: the pipelined load consults each lane's bus
             // and bank horizons at that lane's own clock.
             ++shared.compulsoryMisses;
@@ -150,6 +152,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
             break;
 
         ++pend.ops;
+        const OpClasses cls = touched.classify(op);
         const VectorRef *second =
             op.second ? &op.second.value() : nullptr;
         const std::int64_t s1 = op.first.stride;
@@ -168,9 +171,9 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
             if (second) {
                 Addr a2 = second->element(done);
                 for (std::uint64_t i = 0; i < count; ++i) {
-                    access(a1);
+                    access(a1, cls.first);
                     if (done + i < second->length)
-                        access(a2);
+                        access(a2, cls.second);
                     ++shared.results;
                     a1 = static_cast<Addr>(
                         static_cast<std::int64_t>(a1) + s1);
@@ -179,7 +182,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
                 }
             } else {
                 for (std::uint64_t i = 0; i < count; ++i) {
-                    access(a1);
+                    access(a1, cls.first);
                     ++shared.results;
                     a1 = static_cast<Addr>(
                         static_cast<std::int64_t>(a1) + s1);

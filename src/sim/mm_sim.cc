@@ -52,7 +52,11 @@ MmSimulator::runBatched(TraceSource &source)
             throwCancelled(*cancel);
         clock += static_cast<Cycles>(machine.blockOverhead);
 
-        if (!tryFastForwardOp(op, result)) {
+        // Double streams interleave two progressions on the buses;
+        // their tie-breaking is cheap to replay but fiddly to prove,
+        // so they stay element-wise.
+        if (op.second || !fastForwardStream(machine, op.first, memory,
+                                            buses, clock, result)) {
             const VectorRef *second =
                 op.second ? &op.second.value() : nullptr;
             for (std::uint64_t done = 0; done < op.first.length;
@@ -80,13 +84,10 @@ MmSimulator::runBatched(TraceSource &source)
 }
 
 bool
-MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
+fastForwardStream(const MachineParams &machine, const VectorRef &ref,
+                  InterleavedMemory &memory, BusSet &buses,
+                  Cycles &clock, SimResult &result)
 {
-    // Double streams interleave two progressions on the buses; their
-    // tie-breaking is cheap to replay but fiddly to prove, so they
-    // stay element-wise.
-    if (op.second)
-        return false;
     // An armed fault plan must see every memory.bank.issue site hit;
     // the closed form never visits them.
     if (faults::kEnabled && faults::activeCheap())
@@ -95,7 +96,6 @@ MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
     if (mapping != BankMapping::LowOrder &&
         mapping != BankMapping::PrimeModulo)
         return false;
-    const VectorRef &ref = op.first;
     // LowOrder is wrap-safe (2^b divides 2^64); the prime modulus
     // needs the true integer progression.
     if (mapping == BankMapping::PrimeModulo &&

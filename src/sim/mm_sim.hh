@@ -55,6 +55,28 @@
 namespace vcache
 {
 
+/**
+ * Issue one single-stream vector op, every element a pipelined bank
+ * access, in closed form when its conflict structure is provable (see
+ * the file comment): adds the op's strip start-ups, results and bank
+ * stalls to `clock` and `result` and leaves bus and bank state
+ * exactly as element-wise issue would.  The block overhead before
+ * the op and its store are the caller's.
+ *
+ * Both simulators call it: the MM machine for every such op, the CC
+ * machine for an op whose stream is first-touch throughout (every
+ * element then misses compulsorily and issues like an MM access).
+ * The caller must guarantee that no bank issue or bus grant it made
+ * lies at or after `clock`, which both machines' in-order issue
+ * does.
+ *
+ * @return false (nothing changed) when the op must replay
+ *         element-wise
+ */
+bool fastForwardStream(const MachineParams &machine, const VectorRef &ref,
+                       InterleavedMemory &memory, BusSet &buses,
+                       Cycles &clock, SimResult &result);
+
 /** Cycle-level MM-model machine. */
 class MmSimulator
 {
@@ -127,16 +149,6 @@ class MmSimulator
 
     /** The run-batched whole-run loop (uninstrumented only). */
     SimResult runBatched(TraceSource &source);
-
-    /**
-     * Fast-forward one vector op in closed form when its conflict
-     * structure is provable (see the file comment); updates result,
-     * clock, bus and bank state exactly as element-wise issue would.
-     * The op's store, if any, is the caller's job either way.
-     *
-     * @return false when the op must replay element-wise
-     */
-    bool tryFastForwardOp(const VectorOp &op, SimResult &result);
 
     MachineParams machine;
     InterleavedMemory memory;

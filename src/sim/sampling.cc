@@ -9,10 +9,10 @@
 
 #include "sim/cc_sim.hh"
 #include "sim/checkpoint.hh"
+#include "sim/first_touch.hh"
 #include "sim/mm_sim.hh"
 #include "simd/kernels.hh"
 #include "trace/source.hh"
-#include "util/flat_hash.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/threadpool.hh"
@@ -221,17 +221,19 @@ appendOpState(const Cache &cache, const VectorOp &op,
  * @return misses this op caused
  */
 std::uint64_t
-walkOp(Cache &cache, const VectorOp &op, FlatSet<Addr> &touched,
+walkOp(Cache &cache, const VectorOp &op, FirstTouchLedger &touched,
        bool gang_warm)
 {
     const AddressLayout &layout = cache.addressLayout();
     const VectorRef *second = op.second ? &op.second.value() : nullptr;
+    const OpClasses cls = touched.classify(op);
     std::uint64_t misses = 0;
 
-    const auto touch = [&](Addr word) {
+    const auto touch = [&](Addr word, StreamClass stream) {
         const Addr line = layout.lineAddress(word);
         if (!cache.lookupAndFill(line).hit) {
-            touched.insert(line);
+            if (stream == StreamClass::Lookup)
+                touched.insert(line);
             ++misses;
         }
     };
@@ -263,18 +265,18 @@ walkOp(Cache &cache, const VectorOp &op, FlatSet<Addr> &touched,
                 continue;
             }
             for (unsigned j = 0; j < g; ++j, ++i) {
-                touch(op.first.element(i));
+                touch(op.first.element(i), cls.first);
                 if (second && i < second->length)
-                    touch(second->element(i));
+                    touch(second->element(i), cls.second);
             }
         }
         return misses;
     }
 
     for (std::uint64_t i = 0; i < op.first.length; ++i) {
-        touch(op.first.element(i));
+        touch(op.first.element(i), cls.first);
         if (second && i < second->length)
-            touch(second->element(i));
+            touch(second->element(i), cls.second);
     }
     return misses;
 }
@@ -566,8 +568,7 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
         return cache_or.error();
     const std::unique_ptr<Cache> cache = std::move(cache_or.value());
     const AddressLayout &layout = cache->addressLayout();
-    FlatSet<Addr> touched;
-    reserveFirstTouch(touched, *cache);
+    FirstTouchLedger touched(*cache);
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {
